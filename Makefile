@@ -1,9 +1,9 @@
 GO ?= go
 STATICCHECK ?= staticcheck
 
-.PHONY: ci fmt-check vet lint build test race cover examples bench-smoke bench suite chaos chaos-smoke loadgen-smoke
+.PHONY: ci fmt-check vet lint build test race cover examples perfbench bench-smoke bench suite chaos chaos-smoke loadgen-smoke
 
-ci: fmt-check lint build test race cover examples bench-smoke loadgen-smoke
+ci: fmt-check lint build test race cover examples perfbench bench-smoke loadgen-smoke
 
 fmt-check:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
@@ -62,6 +62,12 @@ examples:
 		echo "build $$d"; \
 		$(GO) build -o /dev/null ./$$d || exit 1; \
 	done
+
+# The repository benchmark is a module of its own (perfbench/go.mod), so
+# `./...` above never compiles it: vet and test it here, so an API change
+# that breaks it fails CI instead of the next benchmark run.
+perfbench:
+	cd perfbench && $(GO) vet ./... && $(GO) test ./...
 
 # One-iteration smoke of every benchmark in the repo: catches crashes and
 # bit-rot in benchmark code without CI-scale runtimes.

@@ -13,8 +13,10 @@
 package graph
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -379,12 +381,15 @@ func (g *Graph) NodesByDegreeDesc() []NodeID {
 // execution (e.g. random-walk neighbour indexing) sorts through this
 // helper so both sides see identical orderings.
 func SortEdges(es []Edge) {
-	sort.Slice(es, func(i, j int) bool {
-		if es[i].To != es[j].To {
-			return es[i].To < es[j].To
-		}
-		return es[i].Label < es[j].Label
-	})
+	slices.SortFunc(es, CompareEdges)
+}
+
+// CompareEdges orders edges by (To, Label), the order SortEdges sorts by.
+func CompareEdges(a, b Edge) int {
+	if c := cmp.Compare(a.To, b.To); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.Label, b.Label)
 }
 
 // SortedEdges returns a sorted copy of es, leaving the input untouched.

@@ -12,6 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -40,7 +41,10 @@ func Encode(buf []byte, r *Record) []byte {
 }
 
 func appendEdges(buf []byte, edges []graph.Edge) []byte {
-	sorted := graph.SortedEdges(edges)
+	sorted := edges
+	if !slices.IsSortedFunc(edges, graph.CompareEdges) {
+		sorted = graph.SortedEdges(edges)
+	}
 	buf = binary.AppendUvarint(buf, uint64(len(sorted)))
 	prev := uint64(0)
 	for _, e := range sorted {

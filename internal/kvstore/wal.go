@@ -116,17 +116,56 @@ func appendRecord(buf []byte, op WALOp, key, ver uint64, val []byte) []byte {
 // when Append returns.
 func (w *WAL) Append(op WALOp, key, ver uint64, val []byte) error {
 	bp := walBufPool.Get().(*[]byte)
-	buf := appendRecord((*bp)[:0], op, key, ver, val)
+	*bp = appendRecord((*bp)[:0], op, key, ver, val)
+	err := w.write(*bp, 1, ver)
+	walBufPool.Put(bp)
+	return err
+}
+
+// AppendBatch writes len(keys) records of kind op in one write syscall
+// (and, when the log was opened with fsync, one fsync): keys[i] at version
+// firstVer+i, carrying vals[i] when op is WALPut (vals is ignored
+// otherwise). Every record keeps its own CRC frame, so a write a crash
+// cuts short replays as an intact prefix of the batch. The whole batch is
+// durable against process death when AppendBatch returns.
+func (w *WAL) AppendBatch(op WALOp, keys []uint64, firstVer uint64, vals [][]byte) error {
+	if len(keys) == 0 {
+		return nil
+	}
+	bp := walBufPool.Get().(*[]byte)
+	buf := (*bp)[:0]
+	for i, key := range keys {
+		var val []byte
+		if op == WALPut {
+			val = vals[i]
+		}
+		buf = appendRecord(buf, op, key, firstVer+uint64(i), val)
+	}
+	*bp = buf
+	err := w.write(buf, len(keys), firstVer+uint64(len(keys))-1)
+	walBufPool.Put(bp)
+	return err
+}
+
+// write appends encoded frames holding records records, the highest at
+// version ver.
+func (w *WAL) write(buf []byte, records int, ver uint64) error {
 	w.mu.Lock()
-	defer func() {
-		*bp = buf[:0]
-		walBufPool.Put(bp)
-		w.mu.Unlock()
-	}()
+	defer w.mu.Unlock()
 	if w.f == nil {
 		return fmt.Errorf("kvstore: wal %s is closed", w.path)
 	}
 	if _, err := w.f.Write(buf); err != nil {
+		// A partial write must not stay: replay would stop at its torn
+		// frame and drop every later append. Cut it back off, and if even
+		// that fails, refuse further appends.
+		if w.f.Truncate(w.bytes) != nil {
+			w.f.Close()
+			w.f = nil
+		} else if _, serr := w.f.Seek(w.bytes, io.SeekStart); serr != nil {
+			w.f.Close()
+			w.f = nil
+		}
 		return fmt.Errorf("kvstore: wal append: %w", err)
 	}
 	if w.fsync {
@@ -135,7 +174,7 @@ func (w *WAL) Append(op WALOp, key, ver uint64, val []byte) error {
 		}
 	}
 	w.bytes += int64(len(buf))
-	w.records++
+	w.records += int64(records)
 	if ver > w.durVer {
 		w.durVer = ver
 	}

@@ -24,6 +24,7 @@ const (
 	reqVersion
 	reqMuts
 	reqOverrides
+	reqValues
 )
 
 const (
@@ -130,6 +131,9 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 	if len(req.Overrides) > 0 {
 		bits |= reqOverrides
 	}
+	if len(req.Values) > 0 {
+		bits |= reqValues
+	}
 	buf = binary.AppendUvarint(buf, bits)
 
 	if bits&reqKey != 0 {
@@ -179,14 +183,22 @@ func encodeRequestFrame(buf []byte, tag uint64, req *Request, deadline int64, sc
 			}
 		}
 	}
+	if bits&reqValues != 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(req.Values)))
+		for _, v := range req.Values {
+			buf = appendBytes(buf, v)
+		}
+	}
 	return finishFrame(buf)
 }
 
 // decodeRequestInto decodes a request frame payload (tag already peeled)
 // into req, overwriting every field but reusing req's slice capacity — the
 // server side recycles Requests, so a steady-state decode allocates
-// nothing. Overrides is the one exception: it is always a fresh map,
-// because the placement handler retains it after the request completes.
+// nothing. Overrides and Values are the exceptions: they always decode
+// fresh (a new map; a new slice with every value its own allocation),
+// because the placement and storage handlers retain them after the request
+// completes.
 func decodeRequestInto(payload []byte, req *Request) error {
 	value := req.Value
 	keys := req.Keys
@@ -255,6 +267,13 @@ func decodeRequestInto(payload []byte, req *Request) error {
 					req.Overrides[k] = slots
 				}
 			}
+		}
+	}
+	if bits&reqValues != 0 {
+		n := d.count(maxFrame)
+		req.Values = make([][]byte, n)
+		for i := range req.Values {
+			req.Values[i] = d.bytes(nil) // nil dst: a fresh allocation per value
 		}
 	}
 	return d.finish("request")

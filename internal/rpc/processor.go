@@ -27,8 +27,13 @@ type ProcessorServer struct {
 	ct      connTracker
 	storage *StorageClient
 
-	mu    sync.Mutex // guards cache and heat
+	mu    sync.Mutex // guards cache, evictGen and heat
 	cache *cache.LRU[gstore.Record]
+	// evictGen counts OpEvict requests. A fetch notes it before going to
+	// storage and caches what it fetched only if no eviction landed
+	// meanwhile: a record read before a write but returned after the
+	// write's eviction must not stay cached (read-your-writes).
+	evictGen uint64
 	// heat counts storage misses per record since the last OpHeat drain —
 	// the adaptive-placement planner's read signal. Cache hits contribute
 	// nothing: a record the cache absorbs needs no migration. Bounded at
@@ -187,6 +192,7 @@ func (p *ProcessorServer) handle(ctx context.Context, req *Request) Response {
 		// Post-mutation cache eviction: drop every named record so the next
 		// read refetches the rewritten version from storage.
 		p.mu.Lock()
+		p.evictGen++
 		for _, k := range req.Keys {
 			p.cache.Remove(k)
 		}
@@ -253,10 +259,13 @@ func (p *ProcessorServer) fetch(ctx context.Context, ids []graph.NodeID) (map[gr
 
 // fetchInto is fetch filling a caller-owned map (not cleared here) and
 // reusing a caller-owned miss buffer, so a cache-hitting fetch allocates
-// nothing — the traversal loops run it once per BFS level.
+// nothing — the traversal loops run it once per BFS level. Fetched records
+// always reach the caller, but enter the cache only when no OpEvict landed
+// while they were being fetched.
 func (p *ProcessorServer) fetchInto(ctx context.Context, ids []graph.NodeID, out map[graph.NodeID]gstore.Record, missBuf *[]graph.NodeID) error {
 	miss := (*missBuf)[:0]
 	p.mu.Lock()
+	gen := p.evictGen
 	for _, id := range ids {
 		if rec, ok := p.cache.Get(uint64(id)); ok {
 			out[id] = rec
@@ -276,11 +285,14 @@ func (p *ProcessorServer) fetchInto(ctx context.Context, ids []graph.NodeID, out
 		return err
 	}
 	p.mu.Lock()
+	cacheable := p.evictGen == gen
 	for id, rec := range fetched {
 		out[id] = rec
-		// Approximate the record's resident size for capacity accounting.
-		size := int64(16 + 8*(len(rec.Out)+len(rec.In)))
-		p.cache.Put(uint64(id), rec, size)
+		if cacheable {
+			// Approximate the record's resident size for capacity accounting.
+			size := int64(16 + 8*(len(rec.Out)+len(rec.In)))
+			p.cache.Put(uint64(id), rec, size)
+		}
 		if _, hot := p.heat[uint64(id)]; hot || len(p.heat) < heatCap {
 			p.heat[uint64(id)]++
 		}

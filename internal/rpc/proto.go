@@ -86,6 +86,10 @@ const (
 	// a copy-then-drop migration. Durable shards log it, so a restart
 	// cannot resurrect the migrated-away copy (storage role).
 	OpDrop
+	// OpMultiPut stores a batch of values on a storage server: Values[i]
+	// under Keys[i]. A durable shard logs the batch with one WAL write and
+	// acks it only once the whole write succeeded (storage role).
+	OpMultiPut
 )
 
 func (op Op) String() string {
@@ -118,6 +122,8 @@ func (op Op) String() string {
 		return "placement"
 	case OpDrop:
 		return "drop"
+	case OpMultiPut:
+		return "multiput"
 	}
 	return fmt.Sprintf("op(%d)", uint8(op))
 }
@@ -177,8 +183,12 @@ type Request struct {
 	// Key and Value serve OpGet / OpPut / OpDrop.
 	Key   uint64
 	Value []byte
-	// Keys serves OpMultiGet and OpEvict.
+	// Keys serves OpMultiGet, OpEvict and OpMultiPut.
 	Keys []uint64
+	// Values serves OpMultiPut, aligned with Keys. Unlike the other
+	// slices, every value decodes into a fresh allocation: the storage
+	// handler keeps them as the stored records.
+	Values [][]byte
 	// Exec serves OpExecute; nil for every other op.
 	Exec *ExecRequest
 	// Addr serves OpJoin (the joining member's advertised address) and
@@ -387,8 +397,8 @@ var callPool = sync.Pool{New: func() any { return &pcall{done: make(chan struct{
 
 // reqPool recycles server-side request envelopes (and, via
 // decodeRequestInto, their Keys/Muts/Exec buffers) across frames. Handlers
-// copy anything they keep, so a request is free for reuse once its response
-// is encoded.
+// copy anything they keep (Values and Overrides decode fresh), so a request
+// is free for reuse once its response is encoded.
 var reqPool = sync.Pool{New: func() any { return new(Request) }}
 
 func getCall(resp *Response) *pcall {

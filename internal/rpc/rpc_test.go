@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/gen"
 	"repro/internal/graph"
+	"repro/internal/gstore"
 	"repro/internal/metrics"
 	"repro/internal/mquery"
 	"repro/internal/query"
@@ -416,6 +417,19 @@ func TestEnvelopeEncodedSize(t *testing.T) {
 	evict := &Request{Op: OpEvict, Keys: []uint64{7, 8}}
 	if n := reqFrameSize(t, evict); n > 16 {
 		t.Errorf("2-key evict frame encodes to %d bytes, want <= 16", n)
+	}
+	// A multiput batch: its values cost at most len(v)+2 bytes per record
+	// over the keys-only envelope (a length varint per value plus the
+	// shared count and the wider field bitmap), which itself stays within
+	// the 2-key evict ceiling.
+	v := gstore.Encode(nil, &gstore.Record{Node: 7, NodeLabel: 3, Out: []graph.Edge{{To: 8}, {To: 9}}})
+	bare := &Request{Op: OpMultiPut, Keys: []uint64{7, 8}}
+	if n := reqFrameSize(t, bare); n > 16 {
+		t.Errorf("2-key multiput envelope encodes to %d bytes, want <= 16", n)
+	}
+	mput := &Request{Op: OpMultiPut, Keys: []uint64{7, 8}, Values: [][]byte{v, v}}
+	if n, base := reqFrameSize(t, mput), reqFrameSize(t, bare); n > base+2*(len(v)+2) {
+		t.Errorf("2-record multiput frame encodes to %d bytes, want <= %d", n, base+2*(len(v)+2))
 	}
 	place := &Request{Op: OpPlacement, Overrides: map[uint64][]int{42: {1, 0}}}
 	if n := reqFrameSize(t, place); n > 16 {

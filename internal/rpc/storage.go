@@ -1,8 +1,10 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"net"
 	"os"
@@ -74,7 +76,8 @@ func NewStorageServer(addr string) (*StorageServer, error) {
 // directory left by a previous (even killed) process replays snapshot +
 // WAL first, so the shard comes back warm with every acked write. With
 // fsync true each append is fsynced (machine-crash durable); false keeps
-// a single write syscall per put (process-death durable).
+// a single write syscall per write request — one per OpPut, one per whole
+// OpMultiPut batch (process-death durable).
 func NewStorageServerDurable(addr, dir string, fsync bool) (*StorageServer, error) {
 	if dir == "" {
 		return NewStorageServer(addr)
@@ -260,29 +263,22 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 		s.keys.Add(int64(len(req.Keys)))
 		return resp
 	case OpPut:
-		cp := make([]byte, len(req.Value))
-		copy(cp, req.Value)
-		s.mu.Lock()
-		s.data[req.Key] = cp
-		var err error
-		if s.wal != nil {
-			err = s.logLocked(kvstore.WALPut, req.Key, req.Value)
+		return s.put([]uint64{req.Key}, [][]byte{bytes.Clone(req.Value)})
+	case OpMultiPut:
+		if len(req.Values) != len(req.Keys) {
+			return errorResponse(fmt.Errorf("%w: multiput carries %d keys but %d values", query.ErrBadQuery, len(req.Keys), len(req.Values)))
 		}
-		s.mu.Unlock()
-		if err != nil {
-			return errorResponse(fmt.Errorf("storage wal: %w", err))
-		}
-		return Response{OK: true}
+		// Decoded values are fresh allocations, so the batch is stored as is.
+		return s.put(req.Keys, req.Values)
 	case OpDrop:
 		// The tombstone half of a copy-then-drop migration: the key leaves
 		// the shard, and on a durable shard the drop is WAL-logged so a
 		// restart replays it and cannot resurrect the migrated-away copy.
 		s.mu.Lock()
 		_, found := s.data[req.Key]
-		delete(s.data, req.Key)
 		var err error
-		if found && s.wal != nil {
-			err = s.logLocked(kvstore.WALDrop, req.Key, nil)
+		if found {
+			err = s.commitLocked(kvstore.WALDrop, []uint64{req.Key}, nil)
 		}
 		s.mu.Unlock()
 		if err != nil {
@@ -296,14 +292,43 @@ func (s *StorageServer) handle(_ context.Context, req *Request) Response {
 	return errorResponse(fmt.Errorf("storage: unknown op %q", req.Op))
 }
 
-// logLocked appends one write (put or drop) to the WAL and compacts into a
-// snapshot once enough records accumulate. Caller holds s.mu (write).
-func (s *StorageServer) logLocked(op kvstore.WALOp, key uint64, val []byte) error {
-	ver := s.durVer.Add(1)
-	if err := s.wal.Append(op, key, ver, val); err != nil {
-		return err
+// put stores vals[i] under keys[i] for the whole batch, retaining the
+// value slices: OpPut and OpMultiPut share this one write path.
+func (s *StorageServer) put(keys []uint64, vals [][]byte) Response {
+	s.mu.Lock()
+	err := s.commitLocked(kvstore.WALPut, keys, vals)
+	s.mu.Unlock()
+	if err != nil {
+		return errorResponse(fmt.Errorf("storage wal: %w", err))
 	}
-	s.sinceSnap++
+	return Response{OK: true}
+}
+
+// commitLocked makes a batch of writes (puts, or drops with vals nil)
+// durable and then visible. On a durable shard the batch is appended to
+// the WAL with one write, one durable version per record; only once that
+// succeeded is it applied to the map, so a failed append leaves no write
+// visible that was never acked. The shard then compacts into a snapshot
+// once enough records have accumulated. Caller holds s.mu (write).
+func (s *StorageServer) commitLocked(op kvstore.WALOp, keys []uint64, vals [][]byte) error {
+	if s.wal != nil {
+		first := s.durVer.Load() + 1
+		if err := s.wal.AppendBatch(op, keys, first, vals); err != nil {
+			return err
+		}
+		s.durVer.Store(first + uint64(len(keys)) - 1)
+	}
+	for i, k := range keys {
+		if op == kvstore.WALPut {
+			s.data[k] = vals[i]
+		} else {
+			delete(s.data, k)
+		}
+	}
+	if s.wal == nil {
+		return nil
+	}
+	s.sinceSnap += len(keys)
 	if s.sinceSnap < s.snapEvery {
 		return nil
 	}
@@ -578,9 +603,47 @@ func (sc *StorageClient) shardFor(key uint64) int {
 func (sc *StorageClient) Put(ctx context.Context, key uint64, value []byte) error {
 	var buf [topology.MaxReplicas]int
 	pl := sc.placement(key, buf[:0])
-	var firstErr error
+	live := sc.liveMask(pl)
+	wrote, err := sc.putReplicas(ctx, key, value, pl, live)
+	if wrote == 0 {
+		var rerr error
+		wrote, rerr = sc.putReplicas(ctx, key, value, pl, ^live)
+		if err == nil {
+			err = rerr
+		}
+	}
+	if wrote > 0 {
+		return nil
+	}
+	if err != nil {
+		return err
+	}
+	return &remoteError{addr: "storage", msg: fmt.Sprintf("no live replica accepted key %d", key), kind: query.ErrUnavailable}
+}
+
+// liveMask returns the bitmask over pl's indices of the shards not marked
+// down.
+func (sc *StorageClient) liveMask(pl []int) uint8 {
+	var mask uint8
+	for i, shard := range pl {
+		if !sc.down[shard].Load() {
+			mask |= 1 << i
+		}
+	}
+	return mask
+}
+
+// putReplicas writes value under key to every placement shard pl[i] whose
+// bit i is set in mask, one OpPut each, and reports how many accepted it
+// and the first failure. A failing shard is marked down unless the
+// caller's own context ended.
+func (sc *StorageClient) putReplicas(ctx context.Context, key uint64, value []byte, pl []int, mask uint8) (int, error) {
 	wrote := 0
-	tryPut := func(shard int) {
+	var firstErr error
+	for i, shard := range pl {
+		if mask&(1<<i) == 0 {
+			continue
+		}
 		if _, err := sc.pools[shard].Call(ctx, &Request{Op: OpPut, Key: key, Value: value}); err != nil {
 			// Don't poison the health flags with our own cancellation.
 			if ctx.Err() == nil {
@@ -589,33 +652,11 @@ func (sc *StorageClient) Put(ctx context.Context, key uint64, value []byte) erro
 			if firstErr == nil {
 				firstErr = err
 			}
-			return
+			continue
 		}
 		wrote++
 	}
-	var tried uint8
-	for i, shard := range pl {
-		if sc.down[shard].Load() {
-			continue
-		}
-		tried |= 1 << i
-		tryPut(shard)
-	}
-	if wrote == 0 {
-		for i, shard := range pl {
-			if tried&(1<<i) != 0 {
-				continue
-			}
-			tryPut(shard)
-		}
-	}
-	if wrote == 0 {
-		if firstErr != nil {
-			return firstErr
-		}
-		return &remoteError{addr: "storage", msg: fmt.Sprintf("no live replica accepted key %d", key), kind: query.ErrUnavailable}
-	}
-	return nil
+	return wrote, firstErr
 }
 
 // MultiGet fetches the records for ids, grouping keys by their preferred
@@ -716,18 +757,153 @@ func (sc *StorageClient) MultiGet(ctx context.Context, ids []graph.NodeID) (map[
 	return out, firstErr
 }
 
+// Bulk-load batching: LoadGraph streams each shard its records as
+// OpMultiPut batches of at most loadBatchBytes of values — far below
+// maxFrame, so one batch holds a shard's write lock only briefly — with at
+// most loadDepth batches in flight per shard, which bounds loader memory.
+const (
+	loadBatchBytes = 256 << 10
+	loadDepth      = 4
+	// Encode chunks: a fresh loadArenaChunk once less than loadArenaSlack
+	// is left (a larger record just grows its chunk).
+	loadArenaChunk = 64 << 10
+	loadArenaSlack = 4 << 10
+)
+
+// loadBatch is one OpMultiPut under construction for one shard.
+type loadBatch struct {
+	keys  []uint64
+	vals  [][]byte
+	bytes int
+}
+
 // LoadGraph bulk-loads every live node of g across the shards (all
-// replicas of each key).
+// replicas of each key), streaming per-shard OpMultiPut batches over the
+// pipelined pools. It keeps Put's per-key contract: down flags are
+// advisory, and a key fails the load only when no replica of its
+// placement set accepted it. Keys whose every batch failed are retried,
+// one OpPut per replica, on the placement shards they were not sent to.
 func (sc *StorageClient) LoadGraph(ctx context.Context, g *graph.Graph) error {
-	buf := make([]byte, 0, 1024)
-	for id := graph.NodeID(0); id < g.MaxNodeID(); id++ {
+	// sent[id] is the bitmask of placement indices id's record went to;
+	// only the dispatch loop writes it, and only after wg.Wait is it read.
+	sent := make([]uint8, g.MaxNodeID())
+	var (
+		wg       sync.WaitGroup
+		mu       sync.Mutex // guards failed and firstErr
+		failed   []uint64   // one entry per key per failed batch
+		firstErr error
+	)
+	slots := make([]chan struct{}, len(sc.pools))
+	for i := range slots {
+		slots[i] = make(chan struct{}, loadDepth)
+	}
+	pending := make([]loadBatch, len(sc.pools))
+	flush := func(shard int) error {
+		b := pending[shard]
+		pending[shard] = loadBatch{}
+		if len(b.keys) == 0 {
+			return nil
+		}
+		select {
+		case slots[shard] <- struct{}{}:
+		case <-ctx.Done():
+			return ctx.Err()
+		}
+		wg.Add(1)
+		go func() {
+			defer func() {
+				<-slots[shard]
+				wg.Done()
+			}()
+			_, err := sc.pools[shard].Call(ctx, &Request{Op: OpMultiPut, Keys: b.keys, Values: b.vals})
+			if err == nil {
+				return
+			}
+			if ctx.Err() == nil {
+				sc.markDown(shard)
+			}
+			mu.Lock()
+			failed = append(failed, b.keys...)
+			if firstErr == nil {
+				firstErr = err
+			}
+			mu.Unlock()
+		}()
+		return nil
+	}
+
+	var dispatchErr error
+	var plBuf [topology.MaxReplicas]int
+	// Records are encoded back to back into shared chunks; a value stays
+	// valid after its chunk is replaced, and its batches keep it alive.
+	var arena []byte
+	for id := graph.NodeID(0); id < g.MaxNodeID() && dispatchErr == nil; id++ {
 		if !g.Exists(id) {
 			continue
 		}
-		buf = gstore.Encode(buf[:0], gstore.RecordOf(g, id))
-		if err := sc.Put(ctx, uint64(id), buf); err != nil {
-			return err
+		if cap(arena)-len(arena) < loadArenaSlack {
+			arena = make([]byte, 0, loadArenaChunk)
 		}
+		start := len(arena)
+		arena = gstore.Encode(arena, gstore.RecordOf(g, id))
+		val := arena[start:len(arena):len(arena)]
+		pl := sc.placement(uint64(id), plBuf[:0])
+		mask := sc.liveMask(pl)
+		if mask == 0 {
+			mask = 1<<len(pl) - 1 // every replica looks down: try them all
+		}
+		sent[id] = mask
+		for i, shard := range pl {
+			if mask&(1<<i) == 0 {
+				continue
+			}
+			b := &pending[shard]
+			b.keys = append(b.keys, uint64(id))
+			b.vals = append(b.vals, val)
+			b.bytes += len(val)
+			if b.bytes >= loadBatchBytes {
+				if dispatchErr = flush(shard); dispatchErr != nil {
+					break
+				}
+			}
+		}
+	}
+	for shard := range pending {
+		if dispatchErr == nil {
+			dispatchErr = flush(shard)
+		}
+	}
+	wg.Wait()
+	if dispatchErr != nil {
+		return dispatchErr
+	}
+	if len(failed) == 0 {
+		return nil
+	}
+	if ctx.Err() != nil {
+		return firstErr
+	}
+
+	// A key is lost only if every batch it rode in failed; retry those on
+	// the replicas the first pass skipped as down.
+	fails := make(map[uint64]int, len(failed))
+	for _, k := range failed {
+		fails[k]++
+	}
+	for k, n := range fails {
+		if n < bits.OnesCount8(sent[k]) {
+			continue // another replica accepted it
+		}
+		pl := sc.placement(k, plBuf[:0])
+		val := gstore.Encode(nil, gstore.RecordOf(g, graph.NodeID(k)))
+		wrote, err := sc.putReplicas(ctx, k, val, pl, ^sent[k])
+		if wrote > 0 {
+			continue
+		}
+		if err == nil {
+			err = firstErr
+		}
+		return err
 	}
 	return nil
 }

@@ -58,6 +58,7 @@ func fullRequest() *Request {
 		Key:      15485863,
 		Value:    []byte("payload-bytes"),
 		Keys:     []uint64{1, 2, 1 << 40},
+		Values:   [][]byte{[]byte("rec-1"), {0}, []byte("rec-1<<40")},
 		Exec: &ExecRequest{
 			Deadline: 1_700_000_000_123_456_789,
 			Queries: []query.Query{
@@ -158,6 +159,7 @@ func TestRequestRoundTrip(t *testing.T) {
 		{Op: OpGet, Key: 123456789},
 		{Op: OpMultiGet, Keys: []uint64{0, 1, 1<<64 - 1}},
 		{Op: OpPut, Key: 1, Value: []byte{0, 255, 1}},
+		{Op: OpMultiPut, Keys: []uint64{3, 1 << 33}, Values: [][]byte{{0, 255, 1}, []byte("second")}},
 		{Op: OpMutate, Muts: []Mutation{{Op: MutOpAddEdge, Node: 42, To: 99}}},
 		{Op: OpJoin, Addr: "127.0.0.1:7001", Tier: "storage", Version: 3},
 		{Op: OpPlacement, Overrides: map[uint64][]int{7: {0, 2}}},
@@ -209,6 +211,41 @@ func TestResponseRoundTrip(t *testing.T) {
 	got = roundTripResponse(t, odd)
 	if got.Err != "weird" || got.Code != CodeInternal {
 		t.Errorf("unknown code round trip = %+v, want internal", got)
+	}
+}
+
+// TestRequestValuesDecodeFresh decodes two multiput batches into one
+// recycled Request, the way the server's request pool does: the first
+// batch's values are retained by the storage handler, so the second decode
+// must not write through them.
+func TestRequestValuesDecodeFresh(t *testing.T) {
+	frame := func(vals ...string) []byte {
+		req := &Request{Op: OpMultiPut}
+		for i, v := range vals {
+			req.Keys = append(req.Keys, uint64(i))
+			req.Values = append(req.Values, []byte(v))
+		}
+		var scratch []byte
+		_, rest, ok := peelTag(encodeRequestFrame(nil, 1, req, 0, &scratch)[frameHeader:])
+		if !ok {
+			t.Fatal("tag unreadable")
+		}
+		return rest
+	}
+	req := reqPool.Get().(*Request)
+	defer reqPool.Put(req)
+	if err := decodeRequestInto(frame("first-a", "first-b"), req); err != nil {
+		t.Fatal(err)
+	}
+	kept := req.Values
+	if err := decodeRequestInto(frame("SECOND-A", "SECOND-B", "SECOND-C"), req); err != nil {
+		t.Fatal(err)
+	}
+	if string(kept[0]) != "first-a" || string(kept[1]) != "first-b" {
+		t.Fatalf("retained values rewritten by the next decode: %q", kept)
+	}
+	if len(req.Values) != 3 || string(req.Values[2]) != "SECOND-C" {
+		t.Fatalf("second decode = %q", req.Values)
 	}
 }
 

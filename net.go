@@ -158,16 +158,23 @@ func ServeRouter(addr string, spec RouterSpec) (*RouterServer, error) {
 }
 
 // LoadStorage bulk-loads every live node of g across the storage shards —
-// the networked analogue of what NewSystem does in-process.
+// the networked analogue of what NewSystem does in-process. Records travel
+// as pipelined per-shard batches, each one round trip and, on a durable
+// shard, one WAL write; a shard acks a batch only once all of it is logged.
+// The load fails if a shard holding some record's only copy is
+// unreachable.
 func LoadStorage(ctx context.Context, g *Graph, storageAddrs []string) error {
 	return LoadStorageReplicated(ctx, g, storageAddrs, 1)
 }
 
 // LoadStorageReplicated bulk-loads every live node of g across the
 // storage shards with the given replication factor: each record is
-// written to every replica of its rendezvous placement set. Processors
-// reading the data must be started with the same factor
-// (ProcessorSpec.StorageReplicas / groutingd -storage-replicas).
+// written to every replica of its rendezvous placement set, in per-shard
+// batches as for LoadStorage. A record fails the load only when no replica
+// of its placement set accepted it, so a load survives fewer than
+// `replicas` dead shards. Processors reading the data must be started with
+// the same factor (ProcessorSpec.StorageReplicas / groutingd
+// -storage-replicas).
 func LoadStorageReplicated(ctx context.Context, g *Graph, storageAddrs []string, replicas int) error {
 	sc, err := rpc.DialStorageReplicated(storageAddrs, replicas)
 	if err != nil {
